@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
 
 from repro.core.clocks import ClockSource
-from repro.obs.trace import AdmissionEvent, QueueSpan, RpcSpan
+from repro.obs.trace import AdmissionEvent, QueueSpan, RpcSpan, record_fields
 
 #: One p_admit time series: (time_ns, value) points in time order —
 #: the same shape :mod:`repro.obs.series` produces for traced runs.
@@ -117,13 +116,13 @@ class EventLog:
         """``extra`` carries trace context (``trace_id``, ``span_id``,
         ``decide_ns``) only when the process runs with tracing on, so
         untraced records keep the exact span-vocabulary field set."""
-        self._write({"type": "rpc", **asdict(span), **extra})
+        self._write({"type": "rpc", **record_fields(span), **extra})
 
     def admission(self, event: AdmissionEvent) -> None:
-        self._write({"type": "admission", **asdict(event)})
+        self._write({"type": "admission", **record_fields(event)})
 
     def queue(self, span: QueueSpan, **extra: Any) -> None:
-        self._write({"type": "queue", **asdict(span), **extra})
+        self._write({"type": "queue", **record_fields(span), **extra})
 
     def retry(
         self,

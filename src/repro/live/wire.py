@@ -22,8 +22,10 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Tuple, Type, TypeVar
+
+from repro.obs.trace import field_names, record_fields
 
 _LEN = struct.Struct(">I")
 
@@ -87,7 +89,7 @@ _KIND_OF: Dict[type, str] = {Request: KIND_REQUEST, Response: KIND_RESPONSE}
 
 def encode_frame(message: "Request | Response", body_len: int = 0) -> bytes:
     """Serialize one message (header only; the body is written separately)."""
-    header: Dict[str, Any] = asdict(message)
+    header = record_fields(message)
     if not header.get("traceparent"):
         # Byte-identity with tracing off: an empty context never hits
         # the wire, so untraced frames match the pre-tracing format.
@@ -105,9 +107,8 @@ def decode_header(kind: str, header: Dict[str, Any], cls: Type[_T]) -> _T:
     expected = _KIND_OF[cls]
     if kind != expected:
         raise FrameError(f"expected a {expected!r} frame, got {kind!r}")
-    names = {f.name for f in fields(cls)}
     try:
-        return cls(**{k: v for k, v in header.items() if k in names})
+        return cls(**{k: header[k] for k in field_names(cls) if k in header})
     except TypeError as exc:
         raise FrameError(f"malformed {expected!r} header: {exc}")
 

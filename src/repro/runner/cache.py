@@ -82,7 +82,8 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh, sort_keys=True)
+                # dumps, not dump: same bytes, but only dumps is C-encoded.
+                fh.write(json.dumps(entry, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             try:

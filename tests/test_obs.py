@@ -9,10 +9,13 @@ The contract under test has three legs:
   scenario produce bit-identical determinism digests (the tracer is
   read-only with respect to simulation state);
 * **export fidelity** — the Chrome ``trace_event`` document is
-  schema-valid (Perfetto-loadable) and the JSONL record stream matches
-  the tracer's in-memory records one-for-one.
+  schema-valid (Perfetto-loadable), the JSONL record stream matches
+  the tracer's in-memory records one-for-one, and the streamed writers
+  produce the same bytes as a one-piece ``json.dump`` and the
+  ``dataclasses.asdict`` record shape.
 """
 
+import dataclasses
 import json
 import random
 
@@ -23,6 +26,7 @@ from repro.core.qos import Priority
 from repro.core.slo import SLOMap
 from repro.net.topology import build_two_tier, wfq_factory
 from repro.obs.export import (
+    EXPORT_SLICE,
     chrome_trace,
     queue_residency_report,
     rpc_report,
@@ -41,7 +45,13 @@ from repro.obs.runtime import (
     deactivate,
     trace_enabled_by_env,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import (
+    Tracer,
+    field_names,
+    record_fields,
+    sim_span_id,
+    sim_trace_id,
+)
 from repro.rpc.sizes import FixedSize
 from repro.rpc.stack import MetricsCollector, RpcStack
 from repro.rpc.workload import OpenLoopSource, steady_pattern
@@ -469,6 +479,188 @@ def test_export_writers_round_trip(tmp_path, traced_run):
     first = json.loads(lines[0])
     assert first["t_ns"] == 0 and isinstance(first["metrics"], dict)
     context.registry.series.pop()
+
+
+# ----------------------------------------------------------------------
+# Export byte identity: streamed writers vs the reference encoders
+# ----------------------------------------------------------------------
+def _reference_chrome(path, tracer, registry=None):
+    """The Chrome document through ``json.dump`` in one piece."""
+    with open(path, "w") as fh:
+        json.dump(chrome_trace(tracer, registry), fh)
+    return path.read_bytes()
+
+
+def _reference_jsonl(path, tracer):
+    """The JSONL records in their ``dataclasses.asdict`` shape."""
+
+    def causal(rpc_id):
+        if not rpc_id:
+            return {}
+        return {"trace_id": sim_trace_id(rpc_id), "parent_id": sim_span_id(rpc_id)}
+
+    records = [
+        {
+            "type": "rpc",
+            **dataclasses.asdict(span),
+            "trace_id": span.trace_id,
+            "span_id": span.span_id,
+        }
+        for span in tracer.rpc_spans
+    ]
+    for kind, spans in (
+        ("queue", tracer.queue_spans),
+        ("tx", tracer.tx_spans),
+        ("drop", tracer.drops),
+        ("admission", tracer.admission_events),
+    ):
+        records += [
+            {"type": kind, **dataclasses.asdict(s), **causal(s.rpc_id)} for s in spans
+        ]
+    records += [
+        {"type": "flow", **dataclasses.asdict(s)} for s in tracer.flow_cwnd_samples
+    ]
+    records += [
+        {"type": "flow_retransmit", **dataclasses.asdict(s), **causal(s.rpc_id)}
+        for s in tracer.flow_retransmits
+    ]
+    with open(path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
+    return path.read_bytes()
+
+
+def _assert_exports_match_reference(tmp_path, tracer, registry=None):
+    chrome = write_chrome_trace(tmp_path / "trace.json", tracer, registry)
+    assert chrome.read_bytes() == _reference_chrome(
+        tmp_path / "trace.ref.json", tracer, registry
+    )
+    jsonl = write_jsonl(tmp_path / "spans.jsonl", tracer)
+    assert jsonl.read_bytes() == _reference_jsonl(tmp_path / "spans.ref.jsonl", tracer)
+
+
+def _every_record_tracer():
+    """A tracer holding every record type, RPC state and causal join."""
+    from repro.net.packet import Packet
+    from repro.rpc.message import Rpc
+
+    tracer = Tracer()
+    rpcs = [
+        Rpc(src=0, dst=2, priority=Priority.PC, payload_bytes=8192, issued_ns=1_000),
+        Rpc(src=1, dst=2, priority=Priority.BE, payload_bytes=4096, issued_ns=1_500),
+        Rpc(src=0, dst=1, priority=Priority.PC, payload_bytes=100, issued_ns=2_000),
+    ]
+    done, terminated, _open = rpcs
+    done.qos_requested, done.qos_run = 0, 0
+    terminated.qos_requested, terminated.qos_run, terminated.downgraded = 0, 2, True
+    for msg_id, rpc in enumerate(rpcs, start=1):
+        tracer.on_rpc_issued(rpc)
+        tracer.on_rpc_message(rpc.rpc_id, msg_id)
+    for msg_id in (1, 2, 3, 99):  # 99: a packet no RPC owns
+        pkt = Packet(src=0, dst=2, size_bytes=4160, qos=msg_id % 3, msg_id=msg_id)
+        tracer.on_enqueue("tor0/p2", pkt, 1_000 + msg_id)
+        tracer.on_dequeue("tor0/p2", pkt, 3_333 + msg_id)
+        tracer.on_transmit("host0/nic", pkt, 3_400 + msg_id, 333)
+        reason = "refused" if msg_id % 2 else "evicted"
+        tracer.on_drop("tor1/p0", pkt, 4_000 + msg_id, reason)
+    tracer.begin_rpc_completion(done.rpc_id)
+    tracer.on_admission("0->2", 0, 0.95, "decrease", 9_000)
+    tracer.end_rpc_completion()
+    tracer.on_admission("1->2", 1, 1.0, "increase", 9_100)
+    done.completed_ns, done.rnl_ns = 10_250, 9_250
+    tracer.on_rpc_completed(done, slo_met=False)
+    tracer.on_rpc_terminated(terminated)
+    tracer.on_flow_ack("0->2/qos0", 12.5, 7_777, 5_000)
+    tracer.on_flow_ack("1->2/qos2", 0.25, 8_123, 5_001)
+    tracer.on_flow_retransmit("0->2/qos0", 4, 6_000, msg_id=1)
+    tracer.on_flow_retransmit("1->2/qos2", 0, 6_500)
+    return tracer
+
+
+def test_streamed_exports_match_reference_bytes_on_traced_run(tmp_path, traced_run):
+    context, _metrics = traced_run
+    _assert_exports_match_reference(tmp_path, context.tracer, context.registry)
+
+
+def test_streamed_exports_match_reference_bytes_for_every_record_type(tmp_path):
+    tracer = _every_record_tracer()
+    doc = chrome_trace(tracer)
+    names = {e["args"]["name"] for e in doc["traceEvents"] if e["ph"] == "M"}
+    assert "transport" in names
+    assert {"rpc open", "rpc terminated"} <= {e["name"] for e in doc["traceEvents"]}
+    assert tracer.drops and tracer.flow_cwnd_samples and tracer.flow_retransmits
+    _assert_exports_match_reference(tmp_path, tracer)
+    registry = MetricsRegistry()
+    registry.series.append((0, registry.snapshot()))
+    _assert_exports_match_reference(tmp_path, tracer, registry)
+
+
+@pytest.mark.parametrize("count", [0, EXPORT_SLICE - 1, EXPORT_SLICE, EXPORT_SLICE + 1])
+def test_streamed_exports_match_reference_at_slice_boundaries(tmp_path, count):
+    # One metadata event plus ``count`` counter events in the Chrome
+    # document, ``count`` lines in the JSONL: both writers meet a slice
+    # that is exactly full and one that holds a single item.
+    tracer = Tracer()
+    for i in range(count):
+        tracer.on_admission("0->1", i % 3, 1.0 / (i + 1), "decrease", i * 10)
+    assert len(chrome_trace(tracer)["traceEvents"]) == count + 1
+    _assert_exports_match_reference(tmp_path, tracer)
+
+
+def _scalar_for(annotation):
+    """A non-default value for a scalar field annotation."""
+    values = {
+        "int": 7,
+        "str": "x",
+        "bool": True,
+        "float": 0.5,
+        "Optional[int]": 11,
+        "Optional[bool]": False,
+    }
+    assert annotation in values, (
+        f"record field of type {annotation!r}: record_fields reads fields "
+        "shallowly, so records must stay flat"
+    )
+    return values[annotation]
+
+
+def _record_classes():
+    from repro.live import wire
+    from repro.obs import trace
+
+    return [
+        obj
+        for module in (trace, wire)
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and dataclasses.is_dataclass(obj)
+        and obj.__module__ == module.__name__
+    ]
+
+
+def test_record_fields_equals_asdict_for_every_record_class():
+    from repro.live.wire import Request, Response
+    from repro.obs import trace
+
+    classes = _record_classes()
+    assert {
+        trace.RpcSpan,
+        trace.QueueSpan,
+        trace.TxSpan,
+        trace.DropEvent,
+        trace.AdmissionEvent,
+        trace.FlowCwndSample,
+        trace.FlowRetransmit,
+        Request,
+        Response,
+    } <= set(classes)
+    for cls in classes:
+        record = cls(
+            **{f.name: _scalar_for(f.type) for f in dataclasses.fields(cls)}
+        )
+        shallow = record_fields(record)
+        assert list(shallow.items()) == list(dataclasses.asdict(record).items()), cls
+        assert field_names(cls) == tuple(shallow)
 
 
 def test_text_reports_name_top_contributors(traced_run):
